@@ -23,18 +23,19 @@ TokenAccount::TokenAccount(const Strategy& strategy, Tokens initial,
 
 bool TokenAccount::on_tick(util::Rng& rng) {
   ++counters_.ticks;
-  if (rng.bernoulli(strategy_->proactive(balance_))) {
-    // The period's token is consumed by the proactive send; the balance is
-    // unchanged (Algorithm 4 lines 4-7).
-    ++counters_.proactive_sends;
-    return true;
+  switch (apply_tick(*strategy_, bucket_cap_, balance_, rng)) {
+    case TickOutcome::kProactive:
+      // The period's token is consumed by the proactive send; the balance
+      // is unchanged (Algorithm 4 lines 4-7).
+      ++counters_.proactive_sends;
+      return true;
+    case TickOutcome::kOverflowed:
+      ++counters_.overflowed_tokens;  // classic bucket overflow: token lost
+      return false;
+    case TickOutcome::kBanked:
+      ++counters_.banked_tokens;
+      return false;
   }
-  if (bucket_cap_ > 0 && balance_ >= bucket_cap_) {
-    ++counters_.overflowed_tokens;  // classic bucket overflow: token lost
-    return false;
-  }
-  ++counters_.banked_tokens;
-  ++balance_;  // Algorithm 4 line 9.
   return false;
 }
 

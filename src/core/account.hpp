@@ -31,6 +31,26 @@ struct AccountCounters {
   }
 };
 
+/// What one period boundary did with the period's token.
+enum class TickOutcome {
+  kProactive,   ///< spent on a proactive message (balance unchanged)
+  kBanked,      ///< banked: the balance grew by one
+  kOverflowed,  ///< lost to the bucket cap (classic token bucket only)
+};
+
+/// Algorithm 4's period decision (lines 3-10) on a bare balance: with
+/// probability proactive(balance) the token pays for a proactive message,
+/// otherwise it is banked unless `bucket_cap` (0 = none) is reached.
+/// TokenAccount::on_tick and the service's per-account state both run this
+/// one function, so they draw from the RNG identically.
+inline TickOutcome apply_tick(const Strategy& strategy, Tokens bucket_cap,
+                              Tokens& balance, util::Rng& rng) {
+  if (rng.bernoulli(strategy.proactive(balance))) return TickOutcome::kProactive;
+  if (bucket_cap > 0 && balance >= bucket_cap) return TickOutcome::kOverflowed;
+  ++balance;  // Algorithm 4 line 9.
+  return TickOutcome::kBanked;
+}
+
 /// How fractional reactive values are turned into message counts.
 enum class RoundingMode {
   kRandomized,  ///< floor + Bernoulli(frac) — Algorithm 4's randRound

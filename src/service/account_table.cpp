@@ -1,11 +1,13 @@
 #include "service/account_table.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <sstream>
 #include <utility>
 
+#include "core/account.hpp"
 #include "util/error.hpp"
 
 namespace toka::service {
@@ -129,9 +131,12 @@ bool AccountTable::configure_namespace(NamespaceId ns,
 void AccountTable::purge_namespace(NamespaceId ns) {
   for (auto& shard : shards_) {
     ShardGuard lock(*this, *shard);
-    const std::size_t removed = std::erase_if(
-        shard->accounts,
-        [&](const auto& kv) { return kv.first.ns == ns; });
+    const std::size_t removed =
+        shard->accounts.erase_if([&](const Entry& entry) {
+          if (entry.ns_id != ns) return false;
+          drop_cold(*shard, entry);
+          return true;
+        });
     stats_for(*shard, ns).accounts_evicted += removed;
   }
 }
@@ -160,9 +165,9 @@ std::optional<NamespaceInfo> AccountTable::namespace_info(
   info.capacity = nsp->capacity;
   for (const auto& shard : shards_) {
     ShardGuard lock(*this, *shard);
-    for (const auto& [key, entry] : shard->accounts) {
-      if (key.ns == ns) ++info.accounts;
-    }
+    shard->accounts.for_each([&](const Entry& entry) {
+      if (entry.ns_id == ns) ++info.accounts;
+    });
   }
   return info;
 }
@@ -203,52 +208,73 @@ TableStats& AccountTable::stats_for(Shard& shard, NamespaceId ns) {
   return stats;
 }
 
-std::size_t AccountTable::shard_index(NamespaceId ns, std::uint64_t key) const {
-  // splitmix64 finalizer: keys are caller-controlled, so the shard index
-  // must not depend on low-entropy low bits. The namespace is folded in so
-  // the same key in two namespaces lands on (usually) different shards.
-  std::uint64_t state = fold_key(ns, key);
-  return static_cast<std::size_t>(util::splitmix64(state)) & shard_mask_;
+AccountTable::Entry* AccountTable::find(Shard& shard, NamespaceId ns,
+                                        std::uint64_t key,
+                                        std::uint64_t hash) {
+  const auto i = shard.accounts.find(hash, [&](const Entry& e) {
+    return e.key == key && e.ns_id == ns;
+  });
+  return i == FlatStore<Entry, EntryHash>::kNotFound ? nullptr
+                                                     : &shard.accounts.at(i);
 }
 
-AccountTable::Shard& AccountTable::shard_for(NamespaceId ns,
-                                             std::uint64_t key) {
-  return *shards_[shard_index(ns, key)];
+FlatStore<AccountTable::Cold, AccountTable::ColdHash>::Index
+AccountTable::cold_index(const Shard& shard, const Entry& entry,
+                         std::uint64_t hash) {
+  return shard.cold.find(hash, [&](const Cold& c) {
+    return c.key == entry.key && c.ns_id == entry.ns_id;
+  });
+}
+
+void AccountTable::drop_cold(Shard& shard, const Entry& entry) {
+  if ((entry.flags & kHasCold) == 0) return;
+  shard.cold.erase(
+      cold_index(shard, entry, hash_key(entry.ns_id, entry.key)));
+}
+
+AccountTable::Entry& AccountTable::create(Shard& shard, const Namespace& ns,
+                                          std::uint64_t key,
+                                          std::uint64_t hash, Tokens balance,
+                                          TimeUs now) {
+  Entry entry;
+  entry.key = key;
+  entry.ns_id = ns.id;
+  entry.balance = balance;
+  entry.last_tick = now / ns.config.delta_us;
+  entry.last_access_us = now;
+  entry.ns = &ns;
+  // The audit traces start empty: a created balance is at most C, so
+  // spending it all at once still fits the first window's 1 + C slack.
+  Cold cold{key, ns.id, nullptr, nullptr};
+  if (ns.config.audit) {
+    cold.auditor = std::make_unique<core::RateLimitAuditor>(
+        ns.config.delta_us, ns.capacity);
+  }
+  if (watchdog_samples(config_.watchdog_sample, ns.id, key)) {
+    cold.watchdog = std::make_unique<core::BurstWatchdog>(ns.config.delta_us,
+                                                          ns.capacity);
+  }
+  if (cold.auditor || cold.watchdog) {
+    entry.flags |= kHasCold;
+    shard.cold.insert(hash, std::move(cold));
+  }
+  ++stats_for(shard, ns.id).accounts_created;
+  return shard.accounts.at(shard.accounts.insert(hash, entry));
 }
 
 AccountTable::Entry& AccountTable::find_or_create(
     Shard& shard, const std::shared_ptr<const Namespace>& ns,
-    std::uint64_t key, std::int64_t tick, TimeUs now) {
-  const AccountKey account_key{ns->id, key};
-  auto it = shard.accounts.find(account_key);
-  if (it == shard.accounts.end()) {
-    // Creation re-resolves a retired snapshot (taking ns_mu_ shared while
-    // holding the shard lock is safe: configure_namespace never holds
-    // shard locks under ns_mu_). See Namespace::retired for why this
-    // closes the reset/acquire resurrection race.
-    std::shared_ptr<const Namespace> current = ns;
-    while (current->retired.load(std::memory_order_acquire)) {
-      current = resolve(current->id);
-      tick = now / current->config.delta_us;
-    }
-    Entry entry{core::TokenAccount(*current->strategy,
-                                   current->config.initial_tokens,
-                                   /*allow_overdraft=*/false,
-                                   core::RoundingMode::kRandomized,
-                                   current->bucket_cap),
-                current, tick, now, nullptr, 0, 0, 0, false, nullptr};
-    if (current->config.audit) {
-      entry.auditor = std::make_unique<core::RateLimitAuditor>(
-          current->config.delta_us, current->capacity);
-    }
-    if (watchdog_samples(config_.watchdog_sample, current->id, key)) {
-      entry.watchdog = std::make_unique<core::BurstWatchdog>(
-          current->config.delta_us, current->capacity);
-    }
-    it = shard.accounts.emplace(account_key, std::move(entry)).first;
-    ++stats_for(shard, current->id).accounts_created;
-  }
-  return it->second;
+    std::uint64_t key, std::uint64_t hash, TimeUs now) {
+  if (Entry* entry = find(shard, ns->id, key, hash)) return *entry;
+  // Creation re-resolves a retired snapshot (taking ns_mu_ shared while
+  // holding the shard lock is safe: configure_namespace never holds shard
+  // locks under ns_mu_). See Namespace::retired for why this closes the
+  // reset/acquire resurrection race.
+  std::shared_ptr<const Namespace> current = ns;
+  while (current->retired.load(std::memory_order_acquire))
+    current = resolve(current->id);
+  return create(shard, *current, key, hash, current->config.initial_tokens,
+                now);
 }
 
 void AccountTable::settle(Shard& shard, Entry& entry, TimeUs now) {
@@ -257,18 +283,20 @@ void AccountTable::settle(Shard& shard, Entry& entry, TimeUs now) {
   // the old Δ, and dividing `now` by the new Δ would fabricate (or eat)
   // elapsed ticks — a shrunk Δ would instantly refill the account past
   // what real time banked, breaking the "reset only under-grants" rule.
-  const std::int64_t tick = now / entry.ns->config.delta_us;
+  const Namespace& ns = *entry.ns;
+  const std::int64_t tick = now / ns.config.delta_us;
   const std::int64_t due = tick - entry.last_tick;
   if (due > 0) {
-    const std::int64_t apply =
-        std::min<std::int64_t>(due, entry.ns->catchup_limit);
-    TableStats& stats = stats_for(shard, entry.ns->id);
+    const std::int64_t apply = std::min<std::int64_t>(due, ns.catchup_limit);
+    TableStats& stats = stats_for(shard, ns.id);
     stats.ticks_forfeited += static_cast<std::uint64_t>(due - apply);
     for (std::int64_t i = 0; i < apply; ++i) {
       // A proactive decision has no message to pay for here: the period's
       // token is dropped (never banked), exactly like the simulator's
       // no-online-peer rule, preserving balance <= C and with it §3.4.
-      if (entry.account.on_tick(shard.rng)) ++stats.proactive_dropped;
+      if (core::apply_tick(*ns.strategy, ns.bucket_cap, entry.balance,
+                           shard.rng) == core::TickOutcome::kProactive)
+        ++stats.proactive_dropped;
     }
     entry.last_tick = tick;
   }
@@ -277,12 +305,11 @@ void AccountTable::settle(Shard& shard, Entry& entry, TimeUs now) {
 
 AcquireResult AccountTable::acquire_locked(
     Shard& shard, const std::shared_ptr<const Namespace>& ns,
-    std::uint64_t key, Tokens n, std::int64_t tick, TimeUs now) {
-  TOKA_CHECK_MSG(n >= 0, "acquire requires n >= 0, got " << n);
-  Entry& entry = find_or_create(shard, ns, key, tick, now);
+    std::uint64_t key, std::uint64_t hash, Tokens n, TimeUs now) {
+  Entry& entry = find_or_create(shard, ns, key, hash, now);
   // Balance before this call's settle: a grant within it was banked; a
   // grant beyond it spent tokens the settle just minted ("fresh").
-  const Tokens banked = entry.account.balance();
+  const Tokens banked = entry.balance;
   settle(shard, entry, now);
   Tokens want = n;
   if (repl_enabled_.load(std::memory_order_relaxed)) {
@@ -291,54 +318,60 @@ AcquireResult AccountTable::acquire_locked(
     // for the stream to catch up (the gate collapses on ack in
     // drain_replica_dirty) — the availability price of the never-duplicate
     // guarantee under failover.
-    const Tokens spendable =
-        std::max<Tokens>(entry.account.balance() - entry.repl_gate, 0);
+    const Tokens spendable = std::max<Tokens>(entry.balance - entry.repl_gate, 0);
     want = std::min(want, spendable);
   }
-  const Tokens granted = entry.account.try_spend(want);
-  mark_repl_dirty(shard, ns->id, key, entry);
+  // TokenAccount::try_spend without overdraft.
+  const Tokens granted = std::min(want, std::max<Tokens>(entry.balance, 0));
+  entry.balance -= granted;
+  entry.spends += static_cast<std::uint64_t>(granted);
+  mark_repl_dirty(shard, entry);
   TableStats& stats = stats_for(shard, ns->id);
   ++stats.acquires;
   stats.tokens_requested += static_cast<std::uint64_t>(n);
   stats.tokens_granted += static_cast<std::uint64_t>(granted);
   shard.hot.record(fold_key(ns->id, key));
-  if (entry.auditor) {
-    for (Tokens i = 0; i < granted; ++i) entry.auditor->record(now);
+  if ((entry.flags & kHasCold) != 0 && granted > 0) {
+    Cold& cold = shard.cold.at(cold_index(shard, entry, hash));
+    if (cold.auditor) {
+      for (Tokens i = 0; i < granted; ++i) cold.auditor->record(now);
+    }
+    if (cold.watchdog) {
+      const std::uint64_t before = cold.watchdog->checks();
+      stats.watchdog_violations += cold.watchdog->record(now, granted);
+      stats.watchdog_checks += cold.watchdog->checks() - before;
+    }
   }
-  if (entry.watchdog && granted > 0) {
-    const std::uint64_t before = entry.watchdog->checks();
-    stats.watchdog_violations += entry.watchdog->record(now, granted);
-    stats.watchdog_checks += entry.watchdog->checks() - before;
-  }
-  return AcquireResult{granted, entry.account.balance(), granted > banked};
+  return AcquireResult{granted, entry.balance, granted > banked};
 }
 
 AcquireResult AccountTable::acquire(NamespaceId ns, std::uint64_t key,
                                     Tokens n) {
+  TOKA_CHECK_MSG(n >= 0, "acquire requires n >= 0, got " << n);
   // Resolve the namespace once: strategy, Δ (the clock divisor) and
   // capacity all come out of this one registry lookup.
   const std::shared_ptr<const Namespace> nsp = resolve(ns);
-  Shard& shard = shard_for(ns, key);
+  const std::uint64_t hash = hash_key(ns, key);
+  Shard& shard = shard_of_hash(hash);
   ShardGuard lock(*this, shard);
   // Read the clock only while holding the shard lock: lock ordering plus
   // atomic read coherence then guarantee non-decreasing times per account,
   // which settle()'s bookkeeping and the auditor's record() rely on.
-  const TimeUs now = clock_.now_us();
-  const std::int64_t tick = now / nsp->config.delta_us;
-  return acquire_locked(shard, nsp, key, n, tick, now);
+  return acquire_locked(shard, nsp, key, hash, n, clock_.now_us());
 }
 
 RefundResult AccountTable::refund(NamespaceId ns, std::uint64_t key,
                                   Tokens n) {
   TOKA_CHECK_MSG(n >= 0, "refund requires n >= 0, got " << n);
   resolve(ns);  // reject unknown namespaces before touching the shard
-  Shard& shard = shard_for(ns, key);
+  const std::uint64_t hash = hash_key(ns, key);
+  Shard& shard = shard_of_hash(hash);
   ShardGuard lock(*this, shard);
   const TimeUs now = clock_.now_us();
   TableStats& stats = stats_for(shard, ns);
   ++stats.refunds;
-  auto it = shard.accounts.find(AccountKey{ns, key});
-  if (it == shard.accounts.end()) {
+  Entry* found = find(shard, ns, key, hash);
+  if (found == nullptr) {
     // Unknown or already-evicted account: the refund is dropped. Creating
     // an account here would let arbitrary keys mint balance from thin air.
     // The event counter (as opposed to the token count below) is what the
@@ -349,73 +382,115 @@ RefundResult AccountTable::refund(NamespaceId ns, std::uint64_t key,
     stats.tokens_refund_dropped += static_cast<std::uint64_t>(n);
     return RefundResult{0, 0};
   }
-  Entry& entry = it->second;
+  Entry& entry = *found;
   settle(shard, entry, now);
   // Cap at the capacity headroom: ticks banked since the acquire may have
   // refilled the balance, and a late refund must not push it past C (that
-  // would mint burst allowance past the §3.4 bound). refund_spend further
-  // caps at the spends still outstanding. The caps come from the entry's
-  // own namespace snapshot, so accounts racing a reconfigure stay within
-  // the policy they were created under.
-  const Tokens headroom =
-      std::max<Tokens>(entry.ns->capacity - entry.account.balance(), 0);
-  const Tokens accepted = entry.account.refund_spend(std::min(n, headroom));
-  mark_repl_dirty(shard, ns, key, entry);
-  if (entry.auditor) {
+  // would mint burst allowance past the §3.4 bound). The spends still
+  // outstanding cap it further (TokenAccount::refund_spend). The caps come
+  // from the entry's own namespace snapshot, so accounts racing a
+  // reconfigure stay within the policy they were created under.
+  const Tokens headroom = std::max<Tokens>(entry.ns->capacity - entry.balance, 0);
+  const Tokens accepted =
+      std::min(std::min(n, headroom), static_cast<Tokens>(entry.spends));
+  entry.balance += accepted;
+  entry.spends -= static_cast<std::uint64_t>(accepted);
+  mark_repl_dirty(shard, entry);
+  if ((entry.flags & kHasCold) != 0) {
+    Cold& cold = shard.cold.at(cold_index(shard, entry, hash));
     // The returned tokens' admissions never happened: strike them from the
     // audit trace so first_violation() checks *net* admissions. accepted
     // <= outstanding spends == recorded sends, so retract cannot underflow.
-    entry.auditor->retract(static_cast<std::size_t>(accepted));
+    if (cold.auditor) cold.auditor->retract(static_cast<std::size_t>(accepted));
+    if (cold.watchdog) cold.watchdog->retract(accepted);
   }
-  if (entry.watchdog) entry.watchdog->retract(accepted);
   stats.tokens_refunded += static_cast<std::uint64_t>(accepted);
   stats.tokens_refund_dropped += static_cast<std::uint64_t>(n - accepted);
-  return RefundResult{accepted, entry.account.balance()};
+  return RefundResult{accepted, entry.balance};
 }
 
 QueryResult AccountTable::query(NamespaceId ns, std::uint64_t key) {
   resolve(ns);  // reject unknown namespaces before touching the shard
-  Shard& shard = shard_for(ns, key);
+  const std::uint64_t hash = hash_key(ns, key);
+  Shard& shard = shard_of_hash(hash);
   ShardGuard lock(*this, shard);
   const TimeUs now = clock_.now_us();
   ++stats_for(shard, ns).queries;
-  auto it = shard.accounts.find(AccountKey{ns, key});
-  if (it == shard.accounts.end()) return QueryResult{0, false};
-  settle(shard, it->second, now);
-  return QueryResult{it->second.account.balance(), true};
+  Entry* entry = find(shard, ns, key, hash);
+  if (entry == nullptr) return QueryResult{0, false};
+  settle(shard, *entry, now);
+  return QueryResult{entry->balance, true};
 }
 
 std::vector<AcquireResult> AccountTable::acquire_batch(
     NamespaceId ns, std::span<const AcquireOp> ops) {
+  // All-or-nothing: every op is checked before any shard is touched, so a
+  // rejected batch applied nothing and a caller may retry it op by op.
+  for (const AcquireOp& op : ops)
+    TOKA_CHECK_MSG(op.tokens >= 0, "acquire requires n >= 0, got " << op.tokens);
   const std::shared_ptr<const Namespace> nsp = resolve(ns);
   std::vector<AcquireResult> results(ops.size());
-  // Order ops by shard so each touched shard is locked exactly once per
-  // batch; within a shard the original op order is preserved (stable sort
-  // by shard index via counting pairs).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> order;  // (shard, op)
-  order.reserve(ops.size());
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    order.emplace_back(static_cast<std::uint32_t>(shard_index(ns, ops[i].key)),
-                       static_cast<std::uint32_t>(i));
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::size_t i = 0;
-  while (i < order.size()) {
-    const std::uint32_t shard_idx = order[i].first;
-    Shard& shard = *shards_[shard_idx];
-    ShardGuard lock(*this, shard);
-    // Clock read under the shard lock, as in acquire(): keeps per-account
-    // times non-decreasing across concurrent batches.
-    const TimeUs now = clock_.now_us();
-    const std::int64_t tick = now / nsp->config.delta_us;
-    for (; i < order.size() && order[i].first == shard_idx; ++i) {
-      const AcquireOp& op = ops[order[i].second];
-      results[order[i].second] =
-          acquire_locked(shard, nsp, op.key, op.tokens, tick, now);
-    }
+  for (std::size_t begin = 0; begin < ops.size(); begin += kBatchWindow) {
+    const std::size_t n = std::min(kBatchWindow, ops.size() - begin);
+    acquire_window(nsp, ops.subspan(begin, n), results.data() + begin);
   }
   return results;
+}
+
+void AccountTable::acquire_window(const std::shared_ptr<const Namespace>& ns,
+                                  std::span<const AcquireOp> ops,
+                                  AcquireResult* out) {
+  // Stage 1: hash every op once, and order the window by shard (insertion
+  // sort, stable, so each shard's ops keep their batch order).
+  const std::size_t n = ops.size();
+  std::array<std::uint64_t, kBatchWindow> hashes{};
+  static_assert(kBatchWindow <= 256, "window positions are bytes");
+  std::array<std::uint8_t, kBatchWindow> order{};
+  const auto shard_at = [&](std::size_t op) {
+    return static_cast<std::size_t>(hashes[op]) & shard_mask_;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    hashes[i] = hash_key(ns->id, ops[i].key);
+    std::size_t j = i;
+    for (; j > 0 && shard_at(order[j - 1]) > shard_at(i); --j)
+      order[j] = order[j - 1];
+    order[j] = static_cast<std::uint8_t>(i);
+  }
+  // Stage 2: start every op's index-slot miss before taking any lock.
+  for (std::size_t i = 0; i < n; ++i)
+    shards_[shard_at(i)]->accounts.prefetch_slot(hashes[i]);
+  // Calls visit(shard, ops) for each run of same-shard ops, in ascending
+  // shard order.
+  const auto for_each_shard = [&](auto&& visit) {
+    for (std::size_t begin = 0; begin < n;) {
+      const std::size_t s = shard_at(order[begin]);
+      std::size_t end = begin + 1;
+      while (end < n && shard_at(order[end]) == s) ++end;
+      visit(*shards_[s], std::span<const std::uint8_t>(&order[begin], end - begin));
+      begin = end;
+    }
+  };
+  // Stage 3: per shard, under its lock alone, read the (now arriving)
+  // slots and start the entry misses. Nothing is kept across the unlock:
+  // stage 4 looks each op up again, hitting cache.
+  for_each_shard([&](Shard& shard, std::span<const std::uint8_t> run) {
+    ShardGuard lock(*this, shard);
+    for (const std::uint8_t op : run) {
+      const auto i = shard.accounts.candidate(hashes[op]);
+      if (i != FlatStore<Entry, EntryHash>::kNotFound)
+        shard.accounts.prefetch_entry(i);
+    }
+  });
+  // Stage 4: execute, one shard at a time. Clock read under the shard
+  // lock, as in acquire(): keeps per-account times non-decreasing across
+  // concurrent batches.
+  for_each_shard([&](Shard& shard, std::span<const std::uint8_t> run) {
+    ShardGuard lock(*this, shard);
+    const TimeUs now = clock_.now_us();
+    for (const std::uint8_t op : run)
+      out[op] = acquire_locked(shard, ns, ops[op].key, hashes[op], ops[op].tokens,
+                               now);
+  });
 }
 
 std::size_t AccountTable::evict_idle() {
@@ -432,27 +507,21 @@ std::size_t AccountTable::evict_idle_shard(std::size_t shard_idx) {
   Shard& shard = *shards_[shard_idx];
   const TimeUs now = clock_.now_us();
   ShardGuard lock(*this, shard);
-  std::size_t removed_here = 0;
-  for (auto it = shard.accounts.begin(); it != shard.accounts.end();) {
-    const TimeUs ttl = it->second.ns->config.idle_ttl_us;
-    const TimeUs idle = now - it->second.last_access_us;
+  return shard.accounts.erase_if([&](const Entry& entry) {
+    const TimeUs ttl = entry.ns->config.idle_ttl_us;
+    const TimeUs idle = now - entry.last_access_us;
     // A nonzero banked balance earns a grace window up to 2x the TTL:
     // evicting at the TTL would drop the account — and with it any
     // refund still in flight for its outstanding grants — the moment it
     // goes quiet. The balance read is the unsettled banked value, which
     // only errs on the side of keeping the account.
-    const bool expired =
-        ttl > 0 && idle >= ttl &&
-        (it->second.account.balance() == 0 || idle >= 2 * ttl);
-    if (expired) {
-      ++stats_for(shard, it->first.ns).accounts_evicted;
-      it = shard.accounts.erase(it);
-      ++removed_here;
-    } else {
-      ++it;
-    }
-  }
-  return removed_here;
+    const bool expired = ttl > 0 && idle >= ttl &&
+                         (entry.balance == 0 || idle >= 2 * ttl);
+    if (!expired) return false;
+    ++stats_for(shard, entry.ns_id).accounts_evicted;
+    drop_cold(shard, entry);
+    return true;
+  });
 }
 
 std::vector<AccountExport> AccountTable::extract_if(
@@ -460,20 +529,17 @@ std::vector<AccountExport> AccountTable::extract_if(
   std::vector<AccountExport> out;
   for (auto& shard : shards_) {
     ShardGuard lock(*this, *shard);
-    for (auto it = shard->accounts.begin(); it != shard->accounts.end();) {
-      if (should_extract(it->first.ns, it->first.key)) {
-        // Only the banked balance travels; unsettled elapsed ticks are
-        // forfeited (the receiver settles at its own clock). The balance
-        // can never exceed the account's own capacity, so the export is
-        // a legitimate §3.4 bank wherever it lands.
-        out.push_back(AccountExport{it->first.ns, it->first.key,
-                                    it->second.account.balance()});
-        ++stats_for(*shard, it->first.ns).accounts_extracted;
-        it = shard->accounts.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    shard->accounts.erase_if([&](const Entry& entry) {
+      if (!should_extract(entry.ns_id, entry.key)) return false;
+      // Only the banked balance travels; unsettled elapsed ticks are
+      // forfeited (the receiver settles at its own clock). The balance
+      // can never exceed the account's own capacity, so the export is a
+      // legitimate §3.4 bank wherever it lands.
+      out.push_back(AccountExport{entry.ns_id, entry.key, entry.balance});
+      ++stats_for(*shard, entry.ns_id).accounts_extracted;
+      drop_cold(*shard, entry);
+      return true;
+    });
   }
   return out;
 }
@@ -487,36 +553,16 @@ bool AccountTable::install_account(NamespaceId ns, std::uint64_t key,
     if (it == namespaces_.end()) return false;  // unknown here: forfeit
     nsp = it->second;
   }
-  Shard& shard = shard_for(ns, key);
+  const std::uint64_t hash = hash_key(ns, key);
+  Shard& shard = shard_of_hash(hash);
   ShardGuard lock(*this, shard);
   while (nsp->retired.load(std::memory_order_acquire)) nsp = resolve(ns);
-  const AccountKey account_key{ns, key};
-  if (shard.accounts.contains(account_key)) return false;  // never duplicate
-  const TimeUs now = clock_.now_us();
-  const std::int64_t tick = now / nsp->config.delta_us;
-  const Tokens clamped = std::clamp<Tokens>(balance, 0, nsp->capacity);
-  Entry entry{core::TokenAccount(*nsp->strategy, clamped,
-                                 /*allow_overdraft=*/false,
-                                 core::RoundingMode::kRandomized,
-                                 nsp->bucket_cap),
-              nsp, tick, now, nullptr, 0, 0, 0, false, nullptr};
-  if (nsp->config.audit) {
-    // The trace restarts empty: the installed balance is at most C, so
-    // spending it all at once still fits the fresh window's 1 + C slack.
-    entry.auditor = std::make_unique<core::RateLimitAuditor>(
-        nsp->config.delta_us, nsp->capacity);
-  }
-  if (watchdog_samples(config_.watchdog_sample, ns, key)) {
-    // Same empty-trace argument as the auditor above: the installed bank
-    // fits the first window's 1 + C slack, so the watchdog restarts clean.
-    entry.watchdog = std::make_unique<core::BurstWatchdog>(
-        nsp->config.delta_us, nsp->capacity);
-  }
-  auto slot = shard.accounts.emplace(account_key, std::move(entry)).first;
-  mark_repl_dirty(shard, ns, key, slot->second);
-  TableStats& stats = stats_for(shard, ns);
-  ++stats.accounts_created;
-  ++stats.accounts_installed;
+  if (find(shard, ns, key, hash) != nullptr) return false;  // never duplicate
+  Entry& entry = create(shard, *nsp, key, hash,
+                        std::clamp<Tokens>(balance, 0, nsp->capacity),
+                        clock_.now_us());
+  mark_repl_dirty(shard, entry);
+  ++stats_for(shard, ns).accounts_installed;
   return true;
 }
 
@@ -527,12 +573,12 @@ void AccountTable::enable_replication(Tokens headroom) {
   repl_enabled_.store(true, std::memory_order_release);
 }
 
-void AccountTable::mark_repl_dirty(Shard& shard, NamespaceId ns,
-                                   std::uint64_t key, Entry& entry) {
-  if (!repl_enabled_.load(std::memory_order_relaxed) || entry.repl_dirty)
+void AccountTable::mark_repl_dirty(Shard& shard, Entry& entry) {
+  if (!repl_enabled_.load(std::memory_order_relaxed) ||
+      (entry.flags & kReplDirty) != 0)
     return;
-  entry.repl_dirty = true;
-  shard.repl_dirty.push_back(AccountKey{ns, key});
+  entry.flags |= kReplDirty;
+  shard.repl_dirty.push_back(AccountKey{entry.ns_id, entry.key});
 }
 
 std::size_t AccountTable::drain_replica_dirty(
@@ -544,25 +590,24 @@ std::size_t AccountTable::drain_replica_dirty(
   ShardGuard lock(*this, shard);
   std::size_t appended = 0;
   for (const AccountKey& k : shard.repl_dirty) {
-    auto it = shard.accounts.find(k);
-    if (it == shard.accounts.end()) continue;  // evicted or extracted since
-    Entry& entry = it->second;
-    entry.repl_dirty = false;
+    Entry* found = find(shard, k.ns, k.key, hash_key(k.ns, k.key));
+    if (found == nullptr) continue;  // evicted or extracted since
+    Entry& entry = *found;
+    entry.flags &= static_cast<std::uint8_t>(~kReplDirty);
     // Gate collapse: once the last sent floor is acked, the follower's
     // installable floor is exactly that value — every older (possibly
     // higher) floor has been superseded on an ordered stream — so the
     // gate drops to it and the headroom above it becomes spendable again.
     if (entry.repl_floor_seq != 0 && entry.repl_floor_seq <= acked_seq)
       entry.repl_gate = entry.repl_sent_floor;
-    const Tokens balance = entry.account.balance();
     const Tokens configured = repl_headroom_.load(std::memory_order_relaxed);
     const Tokens h =
         configured > 0 ? configured : (entry.ns->capacity + 1) / 2;
-    const Tokens floor = std::max<Tokens>(balance - h, 0);
+    const Tokens floor = std::max<Tokens>(entry.balance - h, 0);
     entry.repl_sent_floor = floor;
     entry.repl_floor_seq = seq;
     entry.repl_gate = std::max(entry.repl_gate, floor);
-    out.push_back(ReplicaDeltaExport{k.ns, k.key, balance, floor});
+    out.push_back(ReplicaDeltaExport{k.ns, k.key, entry.balance, floor});
     ++appended;
   }
   shard.repl_dirty.clear();
@@ -629,9 +674,9 @@ TableStats AccountTable::stats(NamespaceId ns) const {
     ShardGuard lock(*this, *shard);
     auto it = shard->stats.find(ns);
     if (it != shard->stats.end()) out.merge(it->second);
-    for (const auto& [key, entry] : shard->accounts) {
-      if (key.ns == ns) ++out.accounts;
-    }
+    shard->accounts.for_each([&](const Entry& entry) {
+      if (entry.ns_id == ns) ++out.accounts;
+    });
   }
   return out;
 }
@@ -639,14 +684,17 @@ TableStats AccountTable::stats(NamespaceId ns) const {
 std::optional<std::string> AccountTable::audit_violation() const {
   for (const auto& shard : shards_) {
     ShardGuard lock(*this, *shard);
-    for (const auto& [key, entry] : shard->accounts) {
-      if (!entry.auditor) continue;
-      if (auto v = entry.auditor->first_violation()) {
+    std::optional<std::string> violation;
+    shard->cold.for_each([&](const Cold& cold) {
+      if (violation || !cold.auditor) return;
+      if (auto v = cold.auditor->first_violation()) {
         std::ostringstream os;
-        os << "ns=" << key.ns << " key=" << key.key << ": " << v->describe();
-        return os.str();
+        os << "ns=" << cold.ns_id << " key=" << cold.key << ": "
+           << v->describe();
+        violation = os.str();
       }
-    }
+    });
+    if (violation) return violation;
   }
   return std::nullopt;
 }

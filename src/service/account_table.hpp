@@ -1,28 +1,37 @@
 // tokend's in-memory store: millions of token accounts behind striped locks.
 //
-// The table maps (namespace, key) pairs to core::TokenAccount instances.
-// A *namespace* is a runtime-configurable policy domain (a tenant, an API
-// class, a flow group): it owns its own core::StrategyConfig, token period
-// Δ, initial balance, idle TTL and audit switch, so one tokend instance can
-// rate-limit many traffic classes with different disciplines at once.
-// Namespace 0 always exists (built from ServiceConfig); others are created
-// or reset at runtime through configure_namespace() (the protocol v2 admin
-// path). Namespaces are never deleted — reconfiguring one drops its
-// accounts, which only under-grants (a re-created account restarts from the
-// initial balance), never over-grants.
+// The table maps (namespace, key) pairs to token accounts. A *namespace* is
+// a runtime-configurable policy domain (a tenant, an API class, a flow
+// group): it owns its own core::StrategyConfig, token period Δ, initial
+// balance, idle TTL and audit switch, so one tokend instance can rate-limit
+// many traffic classes with different disciplines at once. Namespace 0
+// always exists (built from ServiceConfig); others are created or reset at
+// runtime through configure_namespace() (the protocol v2 admin path).
+// Namespaces are never deleted — reconfiguring one drops its accounts, which
+// only under-grants (a re-created account restarts from the initial
+// balance), never over-grants.
 //
 // Keys are hash-partitioned over N shards (N rounded up to a power of two);
 // each shard owns its accounts behind its own mutex, so concurrent requests
 // for different shards never contend and a shard critical section is a
-// handful of arithmetic operations. The namespace registry is read-mostly
-// (std::shared_mutex): a request resolves its namespace exactly once —
-// strategy, clock divisor Δ and capacity come out of that one lookup — and
-// then works lock-free against the resolved snapshot.
+// handful of arithmetic operations. A shard stores its accounts in a
+// FlatStore (service/flat_store.hpp): 80-byte entries packed densely in
+// fixed blocks behind an open-addressing index of 8-byte slots, so a lookup
+// costs one index cache line plus the two lines an entry spans. acquire_batch()
+// hides those misses: it hashes the whole batch, prefetches every index slot
+// before taking any lock, then visits each touched shard twice — once to
+// read its slots and prefetch the entries, once to execute — never holding
+// two shard locks at once (DESIGN.md, "The account store"). The namespace
+// registry is read-mostly (std::shared_mutex): a request resolves its
+// namespace exactly once — strategy, clock divisor Δ and capacity come out
+// of that one lookup — and then works lock-free against the resolved
+// snapshot.
 //
 // Token granting is *lazy*, driven by a coarse shared clock instead of a
 // timer per account: every account remembers the tick index it last settled
 // at, and any access first replays the elapsed ticks through
-// TokenAccount::on_tick (capped — see NamespaceConfig::max_catchup_ticks).
+// core::apply_tick, the decision TokenAccount::on_tick makes (capped — see
+// NamespaceConfig::max_catchup_ticks).
 // A proactive decision during replay has no message to pay for in an
 // admission-control service, so the period's token is dropped, mirroring
 // the simulator's "drop the token when no peer is online" rule that keeps
@@ -46,10 +55,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/account.hpp"
 #include "core/rate_limit.hpp"
 #include "core/strategy.hpp"
 #include "obs/admission.hpp"
+#include "service/flat_store.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -207,6 +216,8 @@ struct TableStats {
 
   /// Adds every counter of `other` into this snapshot.
   void merge(const TableStats& other);
+
+  friend bool operator==(const TableStats&, const TableStats&) = default;
 };
 
 /// Admin-visible description of a live namespace.
@@ -308,9 +319,16 @@ class AccountTable {
   QueryResult query(std::uint64_t key) { return query(kDefaultNamespace, key); }
   QueryResult query(NamespaceId ns, std::uint64_t key);
 
-  /// Executes `ops` (all against one namespace) with one lock acquisition
-  /// per touched shard instead of one per op; results are positionally
-  /// aligned with `ops`.
+  /// Executes `ops` (all against one namespace); results are positionally
+  /// aligned with `ops`. Within a shard the ops run in their batch order,
+  /// so grants, RNG draws, stats and audit records equal those of single
+  /// acquire() calls in that order. All-or-nothing on invalid input: every
+  /// op is checked (n >= 0) and the namespace resolved before any account
+  /// is touched, so a throw leaves the table unchanged. Works through the
+  /// batch in windows of kBatchWindow ops, prefetching each window's index
+  /// slots and entries before executing it, and allocates nothing but the
+  /// result vector once every account exists.
+  static constexpr std::size_t kBatchWindow = 32;
   std::vector<AcquireResult> acquire_batch(std::span<const AcquireOp> ops) {
     return acquire_batch(kDefaultNamespace, ops);
   }
@@ -334,7 +352,7 @@ class AccountTable {
   /// shard-per-thread engine uses to pick an owner worker. Stable for the
   /// table's lifetime.
   std::size_t shard_of(NamespaceId ns, std::uint64_t key) const {
-    return shard_index(ns, key);
+    return static_cast<std::size_t>(hash_key(ns, key)) & shard_mask_;
   }
 
   // ------------------------------------------------------ cluster handoff
@@ -418,10 +436,12 @@ class AccountTable {
 
  private:
   /// Immutable runtime form of a namespace: the resolved strategy object
-  /// plus the derived caps. Shared between the registry and every entry of
-  /// the namespace, so a reset cannot pull the strategy out from under an
-  /// account that was created against the previous policy. `retired` is
-  /// flipped when a reconfigure replaces this snapshot: account *creation*
+  /// plus the derived caps. The registry owns the current snapshot; a
+  /// reconfigure keeps the outgoing one alive until its purge has swept
+  /// every shard, which is as long as any entry can point at it (see
+  /// Entry::ns), so a reset cannot pull the strategy out from under an
+  /// account created against the previous policy. `retired` is flipped
+  /// when a reconfigure replaces this snapshot: account *creation*
   /// re-resolves on seeing it, so a request racing the reset can never
   /// insert a fresh account under the outgoing policy after the purge
   /// swept its shard (existing entries keep the old snapshot by design).
@@ -430,7 +450,7 @@ class AccountTable {
     NamespaceConfig config;
     std::unique_ptr<core::Strategy> strategy;
     Tokens capacity = 0;       ///< effective balance cap
-    Tokens bucket_cap = 0;     ///< TokenAccount bucket cap (token bucket only)
+    Tokens bucket_cap = 0;     ///< core::apply_tick bucket cap (token bucket only)
     Tokens catchup_limit = 0;  ///< resolved max_catchup_ticks
     mutable std::atomic<bool> retired{false};
   };
@@ -438,35 +458,70 @@ class AccountTable {
   struct AccountKey {
     NamespaceId ns = 0;
     std::uint64_t key = 0;
-    friend bool operator==(const AccountKey&, const AccountKey&) = default;
   };
 
-  struct AccountKeyHash {
-    std::size_t operator()(const AccountKey& k) const {
-      std::uint64_t state = fold_key(k.ns, k.key);
-      return static_cast<std::size_t>(util::splitmix64(state));
+  /// The one hash behind shard placement (its low bits) and the shard's
+  /// index slots (its high bits, see FlatStore). A splitmix64 finalizer:
+  /// keys are caller-controlled, so neither may depend on low-entropy key
+  /// bits. The namespace is folded in so the same key in two namespaces
+  /// lands on (usually) different shards.
+  static std::uint64_t hash_key(NamespaceId ns, std::uint64_t key) {
+    std::uint64_t state = fold_key(ns, key);
+    return util::splitmix64(state);
+  }
+
+  /// One account: everything an acquire reads or writes, in 80 bytes, so
+  /// in the store's 16-byte-aligned blocks it spans exactly two cache lines.
+  /// The token state is core::TokenAccount's without the simulator's
+  /// counters: the balance plus the outstanding spends that cap refunds.
+  /// Audit state (present on few keys) lives out of line in Shard::cold.
+  struct alignas(16) Entry {
+    std::uint64_t key = 0;
+    NamespaceId ns_id = 0;
+    std::uint8_t flags = 0;     ///< kReplDirty | kHasCold
+    Tokens balance = 0;         ///< banked tokens, in [0, capacity]
+    std::uint64_t spends = 0;   ///< granted and not yet refunded
+    std::int64_t last_tick = 0; ///< tick index last settled at
+    TimeUs last_access_us = 0;  ///< for TTL eviction
+    /// The snapshot the account was created under. Not owning: an entry
+    /// never outlives its snapshot, because the registry holds the current
+    /// one and configure_namespace() holds the outgoing one until its purge
+    /// has removed every entry pointing at it.
+    const Namespace* ns = nullptr;
+    // Replication state (unused until enable_replication). The spend
+    // gate: the highest floor that a promoted follower might still install
+    // — acquire never grants below it, which is what makes a conservative
+    // replica install under-grant-only.
+    Tokens repl_gate = 0;
+    Tokens repl_sent_floor = 0;        ///< floor of the last emitted delta
+    std::uint64_t repl_floor_seq = 0;  ///< emission round it travelled in
+  };
+  static_assert(sizeof(Entry) == 80, "an entry must span at most 2 cache lines");
+
+  static constexpr std::uint8_t kReplDirty = 1;  ///< queued in Shard::repl_dirty
+  static constexpr std::uint8_t kHasCold = 2;    ///< has a Shard::cold record
+
+  /// The out-of-line audit state of one account, keyed like its Entry.
+  /// Guarded by the shard lock like everything else in the shard.
+  struct Cold {
+    std::uint64_t key = 0;
+    NamespaceId ns_id = 0;
+    /// §3.4 trace of every grant (NamespaceConfig::audit, tests only).
+    std::unique_ptr<core::RateLimitAuditor> auditor;
+    /// Online §3.4 auditor on watchdog-sampled keys (see
+    /// ServiceConfig::watchdog_sample).
+    std::unique_ptr<core::BurstWatchdog> watchdog;
+  };
+
+  struct EntryHash {
+    std::uint64_t operator()(const Entry& e) const {
+      return hash_key(e.ns_id, e.key);
     }
   };
-
-  struct Entry {
-    core::TokenAccount account;
-    std::shared_ptr<const Namespace> ns;  ///< keeps the strategy alive
-    std::int64_t last_tick = 0;           ///< tick index last settled at
-    TimeUs last_access_us = 0;            ///< for TTL eviction
-    std::unique_ptr<core::RateLimitAuditor> auditor;
-    // Replication state (unused until enable_replication; declared after
-    // the original members so positional Entry construction stays valid).
-    // The spend gate: the highest floor that a promoted follower might
-    // still install — acquire never grants below it, which is what makes
-    // a conservative replica install under-grant-only.
-    Tokens repl_gate = 0;
-    Tokens repl_sent_floor = 0;         ///< floor of the last emitted delta
-    std::uint64_t repl_floor_seq = 0;   ///< emission round it travelled in
-    bool repl_dirty = false;            ///< queued in Shard::repl_dirty?
-    /// Online §3.4 auditor, present only on watchdog-sampled keys (see
-    /// ServiceConfig::watchdog_sample). Guarded by the shard lock like
-    /// everything else in the entry.
-    std::unique_ptr<core::BurstWatchdog> watchdog;
+  struct ColdHash {
+    std::uint64_t operator()(const Cold& c) const {
+      return hash_key(c.ns_id, c.key);
+    }
   };
 
   /// Padded to a cache line so neighbouring shards' mutexes don't false-
@@ -476,7 +531,8 @@ class AccountTable {
   /// accounts.size()).
   struct alignas(64) Shard {
     mutable std::mutex mu;
-    std::unordered_map<AccountKey, Entry, AccountKeyHash> accounts;
+    FlatStore<Entry, EntryHash> accounts;
+    FlatStore<Cold, ColdHash> cold;
     util::Rng rng{0};
     std::unordered_map<NamespaceId, TableStats> stats;
     NamespaceId cached_ns = 0;
@@ -486,7 +542,7 @@ class AccountTable {
     /// acquire.
     obs::SpaceSaving hot{8};
     /// Accounts touched since the last drain_replica_dirty() (replication
-    /// only; each account appears at most once — Entry::repl_dirty).
+    /// only; each account appears at most once — kReplDirty).
     std::vector<AccountKey> repl_dirty;
   };
 
@@ -521,22 +577,40 @@ class AccountTable {
   std::shared_ptr<const Namespace> resolve(NamespaceId ns) const;
 
   static TableStats& stats_for(Shard& shard, NamespaceId ns);
-  std::size_t shard_index(NamespaceId ns, std::uint64_t key) const;
-  Shard& shard_for(NamespaceId ns, std::uint64_t key);
+  Shard& shard_of_hash(std::uint64_t hash) {
+    return *shards_[static_cast<std::size_t>(hash) & shard_mask_];
+  }
+  /// The live entry for (ns, key) or nullptr. Caller holds the shard.
+  static Entry* find(Shard& shard, NamespaceId ns, std::uint64_t key,
+                     std::uint64_t hash);
+  /// The position of an entry's audit record (kNotFound unless the entry
+  /// is flagged kHasCold). Caller holds the shard.
+  static FlatStore<Cold, ColdHash>::Index cold_index(const Shard& shard,
+                                                     const Entry& entry,
+                                                     std::uint64_t hash);
+  /// Creates (ns, key) with `balance`, settled at `now`, plus its audit
+  /// record when the namespace audits or the watchdog samples the key.
+  Entry& create(Shard& shard, const Namespace& ns, std::uint64_t key,
+                std::uint64_t hash, Tokens balance, TimeUs now);
   Entry& find_or_create(Shard& shard,
                         const std::shared_ptr<const Namespace>& ns,
-                        std::uint64_t key, std::int64_t tick, TimeUs now);
+                        std::uint64_t key, std::uint64_t hash, TimeUs now);
+  /// Erases the entry's audit record, if any (the entry itself goes with
+  /// the caller's FlatStore::erase_if). Caller holds the shard.
+  static void drop_cold(Shard& shard, const Entry& entry);
   /// Replays elapsed ticks up to the cap (tick index derived from the
   /// entry's own namespace Δ); updates last_tick/last_access.
   void settle(Shard& shard, Entry& entry, TimeUs now);
   AcquireResult acquire_locked(Shard& shard,
                                const std::shared_ptr<const Namespace>& ns,
-                               std::uint64_t key, Tokens n, std::int64_t tick,
+                               std::uint64_t key, std::uint64_t hash, Tokens n,
                                TimeUs now);
-  /// Queues (ns, key) for the next replica drain (no-op when replication
+  /// One acquire_batch window: at most kBatchWindow ops.
+  void acquire_window(const std::shared_ptr<const Namespace>& ns,
+                      std::span<const AcquireOp> ops, AcquireResult* out);
+  /// Queues the entry for the next replica drain (no-op when replication
   /// is off or the entry is already queued). Caller holds the shard.
-  void mark_repl_dirty(Shard& shard, NamespaceId ns, std::uint64_t key,
-                       Entry& entry);
+  void mark_repl_dirty(Shard& shard, Entry& entry);
   /// Drops every account of `ns` (reset on reconfigure).
   void purge_namespace(NamespaceId ns);
 

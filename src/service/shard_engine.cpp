@@ -285,8 +285,8 @@ void ShardEngine::execute(std::vector<ShardOp>& ops,
             }
           } catch (const util::InvariantError&) {
             // One bad op (negative tokens, vanished namespace) poisons the
-            // whole vectorized call: redo the run one op at a time so only
-            // the offender fails.
+            // whole vectorized call, which rejects before applying anything:
+            // redo the run one op at a time so only the offender fails.
             for (std::size_t k = i; k < j; ++k) {
               try {
                 const AcquireResult res =
@@ -374,6 +374,7 @@ void ShardEngine::run_batch_group(ShardOp& op, std::int64_t t_pop_us) {
       if (res[k].fresh) decision = obs::Decision::kFresh;
     }
   } catch (const util::InvariantError&) {
+    // acquire_batch is all-or-nothing: nothing of the group was applied.
     for (std::size_t k = 0; k < slice.size(); ++k)
       batch->results[batch->original[group.begin + k]] = AcquireResult{};
     decision = obs::Decision::kError;

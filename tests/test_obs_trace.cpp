@@ -298,7 +298,13 @@ TEST(ScrapeServer, TracesScrapeWhileServing) {
     while (!stop.load(std::memory_order_relaxed))
       client.acquire(key++ % 64, 1);
   });
-  for (int i = 0; i < 20; ++i) {
+  // Keep scraping until the load thread has recorded: on a busy host the
+  // first twenty scrapes can finish before it is even scheduled, and then
+  // nothing raced them.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (int i = 0; i < 20 || (tracer.recorded() == 0 &&
+                             std::chrono::steady_clock::now() < deadline);
+       ++i) {
     const std::string resp = http_get(scrape.port(), "/traces");
     EXPECT_NE(resp.find("\"spans\":["), std::string::npos);
   }
